@@ -24,8 +24,8 @@ import (
 func runServe(ctx context.Context, args []string, sink *progressSink) error {
 	fs := flag.NewFlagSet("dlbench serve", flag.ContinueOnError)
 	addr := fs.String("addr", "localhost:8080", "listen address (port 0 picks a free port)")
-	workers := fs.Int("workers", 2, "worker count (also the queue shard count)")
-	queueCap := fs.Int("queue-cap", 16, "per-shard queue capacity (admission control bound)")
+	workers := fs.Int("workers", 2, "worker count")
+	queueCap := fs.Int("queue-cap", 0, "jobs the queue admits while they wait for a worker (admission control bound; 0 means 16 per worker)")
 	rate := fs.Float64("rate", 0, "per-client token-bucket rate in jobs/sec (0 disables rate limiting)")
 	burst := fs.Int("burst", 8, "per-client token-bucket burst")
 	shedHeapMB := fs.Int("shed-heap-mb", 0, "shed new work when heap in-use exceeds this many MiB (0 disables)")
@@ -84,7 +84,7 @@ func runServe(ctx context.Context, args []string, sink *progressSink) error {
 	start := time.Now()
 	// /status carries both layers: the generic process view (uptime,
 	// counters, latest monitor sample) plus the job core's live view
-	// (queue depths per shard, in-flight jobs with their current span) —
+	// (queue depth, in-flight jobs with their current span) —
 	// everything `dlbench top` renders in one scrape.
 	mux.HandleFunc("/status", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -19,7 +19,7 @@ import (
 
 // runTop implements `dlbench top`: a polling terminal dashboard over a
 // running daemon's /status and /metrics endpoints. Each frame shows the
-// queue depth per shard, every in-flight job with the lifecycle span it
+// queue depth, every in-flight job with the lifecycle span it
 // is currently inside, rolling p50/p95 per stage (queue wait, execution,
 // end-to-end — scraped from the dlbench_server_*_seconds summaries), and
 // the resource monitor's heap/CPU/GC columns. It needs nothing from the
@@ -147,13 +147,7 @@ func renderTopFrame(out io.Writer, base string, st *topStatus, quants map[string
 			occ = m[""]
 		}
 		fmt.Fprintf(out, "workers %d  inflight %d  occupancy %.0f%%\n", sv.Workers, sv.Inflight, occ*100)
-		depths := make([]string, len(sv.QueueDepths))
-		total := 0
-		for i, d := range sv.QueueDepths {
-			depths[i] = strconv.Itoa(d)
-			total += d
-		}
-		fmt.Fprintf(out, "queue depth %d  per shard [%s]\n", total, strings.Join(depths, " "))
+		fmt.Fprintf(out, "queue depth %d\n", sv.QueueDepth)
 	}
 
 	fmt.Fprintf(out, "\n%-12s %12s %12s %8s\n", "stage", "p50", "p95", "count")

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/data"
@@ -94,18 +94,24 @@ func (r *InferReport) Cell(fw string, batch int) *InferCell {
 }
 
 // inferColumn is one serving column: an executor style over a trained
-// network with its training-time preprocessing.
+// model with its training-time preprocessing. trained marks a column
+// that serves its model exactly as the suite evaluated it after training
+// (same executor style, preprocessing and test set), so the model's
+// accuracyPct holds and needs no second pass.
 type inferColumn struct {
-	fw   framework.ID
-	net  *nn.Network
-	prep framework.Preprocessing
+	fw      framework.ID
+	model   *trainedModel
+	prep    framework.Preprocessing
+	trained bool
 }
 
 // InferSweep measures inference latency and throughput for every serving
 // column — the three framework styles plus the int8 quantized column —
 // across cfg.BatchSizes. Float columns serve models trained through the
 // suite's cache (so a sweep after a training run reuses its cells); the
-// int8 column freezes the TensorFlow-style model.
+// int8 column freezes the TensorFlow-style model. Each column serves a
+// private copy of its cached model, so concurrent sweeps on copies of
+// one suite never share a network's activation buffers.
 func (s *Suite) InferSweep(ctx context.Context, cfg InferConfig) (*InferReport, error) {
 	if len(cfg.BatchSizes) == 0 {
 		cfg.BatchSizes = DefaultInferBatchSizes
@@ -140,24 +146,25 @@ func (s *Suite) InferSweep(ctx context.Context, cfg InferConfig) (*InferReport, 
 		return nil, err
 	}
 
-	maxBatch := 0
-	for _, b := range cfg.BatchSizes {
-		if b > maxBatch {
-			maxBatch = b
-		}
-	}
+	maxBatch := slices.Max(cfg.BatchSizes)
 	report := &InferReport{Dataset: cfg.Dataset.String(), Network: network}
 	for _, col := range columns {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		exec, err := framework.NewTracedExecutor(col.fw, col.net, maxBatch, s.Obs)
+		net, err := servingCopy(col.model)
 		if err != nil {
 			return nil, err
 		}
-		acc, err := s.evalAccuracy(ctx, exec, testSet, col.prep)
+		exec, err := framework.NewTracedExecutor(col.fw, net, maxBatch, s.Obs)
 		if err != nil {
-			return nil, fmt.Errorf("core: infer eval %v: %w", col.fw, err)
+			return nil, err
+		}
+		acc := col.model.accuracyPct
+		if !col.trained {
+			if acc, err = s.evalAccuracy(ctx, exec, testSet, col.prep); err != nil {
+				return nil, fmt.Errorf("core: infer eval %v: %w", col.fw, err)
+			}
 		}
 		for _, b := range cfg.BatchSizes {
 			cell, err := s.measureInferPoint(ctx, exec, testSet, col.prep, b, cfg)
@@ -178,12 +185,30 @@ func (s *Suite) InferSweep(ctx context.Context, cfg InferConfig) (*InferReport, 
 				"throughput_sps": cell.ThroughputSPS, "accuracy_pct": acc,
 			})
 		}
-		// Serving buffers for this column are dead weight for the next one.
-		col.net.ReleaseBuffers()
+		// The column's copy and its serving buffers are dead weight for
+		// the next one.
 		tensor.ArenaRelease()
 		runtime.GC()
 	}
 	return report, nil
+}
+
+// servingCopy returns a private copy of tm's network: the architecture
+// rebuilt, then every parameter copied in. Layers keep their activation
+// buffers on the network, so two sweeps must never Predict on one cached
+// net.
+func servingCopy(tm *trainedModel) (*nn.Network, error) {
+	net, err := tm.arch()
+	if err != nil {
+		return nil, err
+	}
+	src := tm.net.Params()
+	for i, p := range net.Params() {
+		if err := p.Value.CopyFrom(src[i].Value); err != nil {
+			return nil, err
+		}
+	}
+	return net, nil
 }
 
 // inferColumns assembles the serving columns for the sweep, restricted
@@ -195,13 +220,7 @@ func (s *Suite) inferColumns(ctx context.Context, cfg InferConfig, network strin
 	}
 	serving := make(map[framework.ID]bool, len(want))
 	for _, fw := range want {
-		ok := false
-		for _, known := range framework.InferColumns {
-			if fw == known {
-				ok = true
-			}
-		}
-		if !ok {
+		if !slices.Contains(framework.InferColumns, fw) {
 			return nil, fmt.Errorf("%w: inference column %v", ErrConfig, fw)
 		}
 		serving[fw] = true
@@ -213,7 +232,7 @@ func (s *Suite) inferColumns(ctx context.Context, cfg InferConfig, network strin
 		// executor's network that deployment pipelines quantize) — so an
 		// int8-only sweep still trains the TF cell as its source.
 		var cols []inferColumn
-		var tfNet *nn.Network
+		var tfModel *trainedModel
 		for _, fw := range framework.All {
 			needed := serving[fw] || (fw == framework.TensorFlow && serving[framework.Int8])
 			if !needed {
@@ -225,15 +244,15 @@ func (s *Suite) inferColumns(ctx context.Context, cfg InferConfig, network strin
 				return nil, err
 			}
 			if serving[fw] {
-				cols = append(cols, inferColumn{fw: fw, net: tm.net, prep: framework.PreprocessingFor(fw, cfg.Dataset)})
+				cols = append(cols, inferColumn{fw: fw, model: tm, prep: framework.PreprocessingFor(fw, cfg.Dataset), trained: true})
 			}
 			if fw == framework.TensorFlow {
-				tfNet = tm.net
+				tfModel = tm
 			}
 		}
 		if serving[framework.Int8] {
 			cols = append(cols, inferColumn{
-				fw: framework.Int8, net: tfNet,
+				fw: framework.Int8, model: tfModel,
 				prep: framework.PreprocessingFor(framework.TensorFlow, cfg.Dataset),
 			})
 		}
@@ -242,7 +261,9 @@ func (s *Suite) inferColumns(ctx context.Context, cfg InferConfig, network strin
 		// Every column serves the same trained ResNet weights, so latency
 		// differences isolate executor scheduling — and the residual's
 		// skip fan-out actually exercises the graph executor's dataflow.
-		net, err := s.resnetModel(ctx, cfg.Dataset)
+		tm, err := s.cached(ctx, modelKey{data: cfg.Dataset, resnet: true}, func() (*trainedModel, error) {
+			return s.trainResNet(ctx, cfg.Dataset)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -250,7 +271,7 @@ func (s *Suite) inferColumns(ctx context.Context, cfg InferConfig, network strin
 		var cols []inferColumn
 		for _, fw := range framework.InferColumns {
 			if serving[fw] {
-				cols = append(cols, inferColumn{fw: fw, net: net, prep: prep})
+				cols = append(cols, inferColumn{fw: fw, model: tm, prep: prep})
 			}
 		}
 		return cols, nil
@@ -259,17 +280,9 @@ func (s *Suite) inferColumns(ctx context.Context, cfg InferConfig, network strin
 	}
 }
 
-// resnetModel returns (training on first use) the shared ResNet cell for
-// ds, trained under the graph executor with the TensorFlow defaults for
-// the dataset.
-func (s *Suite) resnetModel(ctx context.Context, ds framework.DatasetID) (*nn.Network, error) {
-	s.mu.Lock()
-	if net, ok := s.resnets[ds]; ok {
-		s.mu.Unlock()
-		return net, nil
-	}
-	s.mu.Unlock()
-
+// trainResNet trains the shared ResNet cell for ds under the graph
+// executor with the TensorFlow defaults for the dataset.
+func (s *Suite) trainResNet(ctx context.Context, ds framework.DatasetID) (*trainedModel, error) {
 	defaults, err := framework.Defaults(framework.TensorFlow, ds)
 	if err != nil {
 		return nil, err
@@ -326,10 +339,10 @@ func (s *Suite) resnetModel(ctx context.Context, ds framework.DatasetID) (*nn.Ne
 		}
 	}
 	net.ReleaseBuffers()
-	s.mu.Lock()
-	s.resnets[ds] = net
-	s.mu.Unlock()
-	return net, nil
+	return &trainedModel{
+		net:  net,
+		arch: func() (*nn.Network, error) { return framework.BuildResNet(in, framework.NetworkOptions{}) },
+	}, nil
 }
 
 // evalAccuracy runs the column over the full test set at the standard
@@ -397,12 +410,13 @@ func (s *Suite) measureInferPoint(ctx context.Context, exec engine.Executor, tes
 		total += d
 		lat = append(lat, float64(d.Nanoseconds())/1e6)
 	}
+	slices.Sort(lat)
 	cell := InferCell{
 		Batch:        b,
 		Requests:     cfg.Requests,
-		LatencyP50MS: percentileMS(lat, 50),
-		LatencyP95MS: percentileMS(lat, 95),
-		LatencyP99MS: percentileMS(lat, 99),
+		LatencyP50MS: metrics.Percentile(lat, 50),
+		LatencyP95MS: metrics.Percentile(lat, 95),
+		LatencyP99MS: metrics.Percentile(lat, 99),
 		WallSeconds:  total.Seconds(),
 	}
 	if total > 0 {
@@ -440,22 +454,4 @@ func (s *Suite) requestBatches(testSet *data.Dataset, prep framework.Preprocessi
 		out = append(out, x)
 	}
 	return out, nil
-}
-
-// percentileMS returns the nearest-rank percentile of vals (copied, so
-// the caller's order is preserved).
-func percentileMS(vals []float64, pct float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	rank := int(pct/100*float64(len(sorted))+0.5) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }

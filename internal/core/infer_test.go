@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/framework"
 	"repro/internal/tensor"
 )
@@ -185,4 +186,56 @@ func TestInt8InferenceGates(t *testing.T) {
 	}
 	t.Logf("int8 p50 %.3fms (%.0f samples/s) vs float p50 %.3fms (%.0f samples/s), best %.2fx; accuracy %.2f%% vs %.2f%%",
 		q.LatencyP50MS, q.ThroughputSPS, tf.LatencyP50MS, tf.ThroughputSPS, best, q.AccuracyPct, tf.AccuracyPct)
+}
+
+// TestInferSweepReusesTrainedAccuracy: a float column of the default plan
+// reports the test accuracy its model scored when the suite trained it,
+// and that figure is what a fresh evaluation of the served copy gives —
+// same executor style, preprocessing, eval batch and test set.
+func TestInferSweepReusesTrainedAccuracy(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewSuite(ScaleTest, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, testSet, err := s.Datasets(framework.MNIST)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fw := range []framework.ID{framework.TensorFlow, framework.Caffe} {
+		spec := RunSpec{Framework: fw, SettingsFW: fw, SettingsDS: framework.MNIST, Data: framework.MNIST, Device: device.GPU}
+		row, err := s.RunContext(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.InferSweep(ctx, InferConfig{
+			Dataset: framework.MNIST, Device: device.GPU, Columns: []framework.ID{fw},
+			BatchSizes: []int{1}, Requests: 2, Warmup: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Cells[0].AccuracyPct; got != row.AccuracyPct {
+			t.Fatalf("%v: sweep accuracy %v, RunContext %v", fw, got, row.AccuracyPct)
+		}
+		tm, err := s.model(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := servingCopy(tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec, err := framework.NewExecutor(fw, net, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, err := s.evalAccuracy(ctx, exec, testSet, framework.PreprocessingFor(fw, framework.MNIST))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc != row.AccuracyPct {
+			t.Fatalf("%v: evaluating the serving copy gives %v, training reported %v", fw, acc, row.AccuracyPct)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/framework"
@@ -87,34 +88,85 @@ func keyFor(spec RunSpec) modelKey {
 	}
 }
 
-// ReleaseModel drops one cell's cached trained model, so the next run of
-// that cell retrains instead of reusing the memoized computation. The
-// serve daemon calls this before every job: a benchmark service must
-// measure each submitted job fresh — and a fault-armed job must actually
-// execute its fault plan, which a cache hit would silently skip — while
-// the suite's datasets stay warm.
-func (s *Suite) ReleaseModel(spec RunSpec) {
-	s.mu.Lock()
-	delete(s.models, keyFor(spec))
-	s.mu.Unlock()
+// RunFresh trains spec's cell anew and assembles its RunResult. It
+// neither reads nor fills the model cache, so every call executes the
+// training — and its fault plan — under this suite's own settings,
+// while the datasets stay shared. The serve daemon runs training jobs
+// through it: a benchmark service measures each submitted job fresh.
+func (s *Suite) RunFresh(ctx context.Context, spec RunSpec) (metrics.RunResult, error) {
+	tm, err := s.trainCell(ctx, spec)
+	if err != nil {
+		return metrics.RunResult{}, err
+	}
+	return s.assemble(spec, tm)
 }
 
 // model returns the cached training computation for spec, training it on
 // first use.
 func (s *Suite) model(ctx context.Context, spec RunSpec) (*trainedModel, error) {
-	key := keyFor(spec)
-	s.mu.Lock()
-	tm, ok := s.models[key]
-	s.mu.Unlock()
-	if ok {
-		return tm, nil
-	}
-	tm, err := s.train(ctx, spec, key)
+	return s.cached(ctx, keyFor(spec), func() (*trainedModel, error) { return s.trainCell(ctx, spec) })
+}
+
+// trainCell runs spec's training computation, naming the cell in its
+// error.
+func (s *Suite) trainCell(ctx context.Context, spec RunSpec) (*trainedModel, error) {
+	tm, err := s.train(ctx, spec, keyFor(spec))
 	if err != nil {
 		return nil, fmt.Errorf("core: run %s on %v under %v: %w", spec.settingsLabel(), spec.Data, spec.Framework, err)
 	}
-	s.mu.Lock()
-	s.models[key] = tm
-	s.mu.Unlock()
 	return tm, nil
+}
+
+// flight is one training in progress; done closes when it ends, after
+// tm and err are set.
+type flight struct {
+	done chan struct{}
+	tm   *trainedModel
+	err  error
+}
+
+// errFlightAborted is the outcome of a training that panicked.
+var errFlightAborted = errors.New("core: training aborted")
+
+// cached returns the model cached under key, running train to fill it on
+// a miss. Copies of one suite share the cache, so concurrent callers of
+// one key train it once: the first runs train while the rest wait for
+// its outcome. A waiter whose training failed trains the key itself,
+// under its own context and settings.
+func (s *Suite) cached(ctx context.Context, key modelKey, train func() (*trainedModel, error)) (*trainedModel, error) {
+	for {
+		s.mu.Lock()
+		if tm, ok := s.models[key]; ok {
+			s.mu.Unlock()
+			return tm, nil
+		}
+		f, busy := s.flights[key]
+		if !busy {
+			f = &flight{done: make(chan struct{}), err: errFlightAborted}
+			s.flights[key] = f
+			s.mu.Unlock()
+			// The flight also ends when train panics, so its waiters
+			// retry instead of hanging.
+			defer func() {
+				s.mu.Lock()
+				delete(s.flights, key)
+				if f.err == nil {
+					s.models[key] = f.tm
+				}
+				s.mu.Unlock()
+				close(f.done)
+			}()
+			f.tm, f.err = train()
+			return f.tm, f.err
+		}
+		s.mu.Unlock()
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		if f.err == nil {
+			return f.tm, nil
+		}
+	}
 }

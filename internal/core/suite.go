@@ -65,14 +65,15 @@ func (s RunSpec) CellKey() string {
 // Suite runs the benchmark matrix at a fixed scale with a fixed master
 // seed. It caches synthetic datasets and trained models so experiments
 // sharing a configuration (e.g. Figure 1 and Table VI) train once.
+//
+// A Suite is a cheap value. Its caches sit behind one shared pointer and
+// are safe for concurrent use, while the exported fields are per-run
+// settings. Copying a Suite therefore gives a view that shares every
+// dataset and trained model but carries its own tracer, progress sink,
+// fault plan and resilience policy — the serve daemon runs each job on
+// such a copy of one shared suite.
 type Suite struct {
-	scale Scale
-	seed  uint64
-
-	mu       sync.Mutex
-	datasets map[framework.DatasetID][2]*data.Dataset // train, test
-	models   map[modelKey]*trainedModel
-	resnets  map[framework.DatasetID]*nn.Network // shared infer-sweep ResNet cells
+	*cache
 
 	// Progress, when non-nil, receives one line per completed training
 	// run (for CLI feedback during long sweeps).
@@ -106,6 +107,19 @@ type Suite struct {
 	Faults *resilience.Plan
 }
 
+// cache is the state every copy of a Suite shares: the scale and seed
+// that define its computations, and the datasets and models built from
+// them. mu guards the maps.
+type cache struct {
+	scale Scale
+	seed  uint64
+
+	mu       sync.Mutex
+	datasets map[framework.DatasetID][2]*data.Dataset // train, test
+	models   map[modelKey]*trainedModel
+	flights  map[modelKey]*flight // trainings in progress
+}
+
 // modelKey identifies a unique training computation. Device enters the key
 // only when it changes the mathematics (Torch's CIFAR-10 map-vs-MM conv);
 // otherwise CPU and GPU rows share one trained model and differ only in
@@ -116,24 +130,29 @@ type modelKey struct {
 	settingsDS framework.DatasetID
 	data       framework.DatasetID
 	variant    device.Kind // device.GPU unless semantics differ per device
+	// resnet marks the inference sweep's shared ResNet cell for data,
+	// trained under the TensorFlow defaults; the other fields stay zero.
+	resnet bool
 }
 
 // trainedModel caches the outcome of one training computation.
 type trainedModel struct {
-	net           *nn.Network
-	accuracyPct   float64
-	finalLoss     float64
-	converged     bool
-	lossHistory   []metrics.LossPoint
-	epochs        int
-	iters         int
-	trainWall     float64
-	testWall      float64
-	flopsPerSamp  int64
-	trainDisp     int
-	inferDisp     int
-	testConfusion *metrics.Confusion
-	telemetry     *obs.Snapshot
+	net *nn.Network
+	// arch builds a fresh, untrained network of net's architecture; a
+	// serving column copies net's weights into one (see servingCopy).
+	arch         func() (*nn.Network, error)
+	accuracyPct  float64
+	finalLoss    float64
+	converged    bool
+	lossHistory  []metrics.LossPoint
+	epochs       int
+	iters        int
+	trainWall    float64
+	testWall     float64
+	flopsPerSamp int64
+	trainDisp    int
+	inferDisp    int
+	telemetry    *obs.Snapshot
 }
 
 // NewSuite constructs a suite at the given scale.
@@ -141,13 +160,13 @@ func NewSuite(scale Scale, seed uint64) (*Suite, error) {
 	if err := scale.Validate(); err != nil {
 		return nil, err
 	}
-	return &Suite{
+	return &Suite{cache: &cache{
 		scale:    scale,
 		seed:     seed,
 		datasets: make(map[framework.DatasetID][2]*data.Dataset),
 		models:   make(map[modelKey]*trainedModel),
-		resnets:  make(map[framework.DatasetID]*nn.Network),
-	}, nil
+		flights:  make(map[modelKey]*flight),
+	}}, nil
 }
 
 // Scale returns the suite's scale.
@@ -159,10 +178,10 @@ func (s *Suite) Scale() Scale { return s.scale }
 // this between cells: it harvests each cell's metrics exactly once, and
 // dormant models from finished cells would otherwise sit in the live heap
 // and count against every later cell's sampled memory footprint.
+// Trainings in flight finish and cache their model as usual.
 func (s *Suite) ReleaseModels() {
 	s.mu.Lock()
 	s.models = make(map[modelKey]*trainedModel)
-	s.resnets = make(map[framework.DatasetID]*nn.Network)
 	s.mu.Unlock()
 }
 

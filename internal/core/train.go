@@ -157,7 +157,12 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 	}
 
 	tm := &trainedModel{
-		net:          net,
+		net: net,
+		arch: func() (*nn.Network, error) {
+			return framework.BuildNetwork(spec.SettingsFW, spec.SettingsDS, in, framework.NetworkOptions{
+				Device: key.variant, DropoutRate: dropRate,
+			})
+		},
 		epochs:       epochs,
 		iters:        totalIters,
 		flopsPerSamp: net.FLOPsPerSample(),
@@ -187,43 +192,13 @@ func (s *Suite) train(ctx context.Context, spec RunSpec, key modelKey) (*trained
 	// Evaluate.
 	evalSpan := s.Obs.Span("suite.eval", "suite")
 	evalStart := time.Now()
-	conf, err := metrics.NewConfusion(testSet.Classes)
+	tm.accuracyPct, err = s.evalAccuracy(ctx, exec, testSet, prep)
+	evalSpan.End()
 	if err != nil {
-		evalSpan.End()
 		return nil, err
 	}
-	for lo := 0; lo < testSet.Len(); lo += evalBatchSize {
-		hi := lo + evalBatchSize
-		if hi > testSet.Len() {
-			hi = testSet.Len()
-		}
-		idx := make([]int, hi-lo)
-		for i := range idx {
-			idx[i] = lo + i
-		}
-		x, labels, err := testSet.Slice(idx)
-		if err != nil {
-			evalSpan.End()
-			return nil, err
-		}
-		framework.ApplyPreprocessingObs(prep, x, s.Obs)
-		preds, err := exec.Predict(ctx, x)
-		if err != nil {
-			evalSpan.End()
-			return nil, err
-		}
-		for i, p := range preds {
-			if err := conf.Add(labels[i], p); err != nil {
-				evalSpan.End()
-				return nil, err
-			}
-		}
-	}
-	evalSpan.End()
 	tm.testWall = time.Since(evalStart).Seconds()
 	tm.trainWall = r.trainWall
-	tm.testConfusion = conf
-	tm.accuracyPct = conf.Accuracy()
 	s.Obs.Gauge("suite.accuracy_pct").Set(tm.accuracyPct)
 	// The model goes dormant in the suite cache; drop its large per-batch
 	// buffers (they are rebuilt transparently if the model is reused for

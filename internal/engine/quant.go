@@ -57,9 +57,6 @@ func (q *QuantExecutor) Name() string { return "int8" }
 // weights were frozen from.
 func (q *QuantExecutor) Network() *nn.Network { return q.net }
 
-// Quantized returns the frozen int8 network.
-func (q *QuantExecutor) Quantized() *nn.QuantizedNetwork { return q.qnet }
-
 // SetOpHook implements Executor.
 func (q *QuantExecutor) SetOpHook(h OpHook) { q.hook = h }
 

@@ -155,14 +155,62 @@ func bucketMid(i int) int64 {
 
 // Histogram is a streaming duration histogram: constant-time Observe,
 // exact count/sum/min/max, approximate quantiles from log-spaced buckets.
-// All methods are safe on a nil receiver.
+// It stores only the observed bucket range, not all histBuckets: every
+// span name of every job tracer owns one, and a duration population
+// rarely spans more than a few octaves. All methods are safe on a nil
+// receiver.
 type Histogram struct {
-	mu      sync.Mutex
-	buckets [histBuckets]int64
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
+	mu     sync.Mutex
+	counts bucketCounts
+	count  int64
+	sum    int64
+	min    int64
+	max    int64
+}
+
+// bucketCounts holds the counts of buckets [lo, lo+len(n)) of the fixed
+// histBuckets geometry; buckets outside that range are empty.
+type bucketCounts struct {
+	lo int
+	n  []int64
+}
+
+// add adds k to bucket i, widening the stored range to include it.
+func (b *bucketCounts) add(i int, k int64) {
+	switch {
+	case len(b.n) == 0:
+		b.lo, b.n = i, make([]int64, 1)
+	case i < b.lo:
+		grown := make([]int64, b.lo-i+len(b.n))
+		copy(grown[b.lo-i:], b.n)
+		b.lo, b.n = i, grown
+	case i >= b.lo+len(b.n):
+		b.n = append(b.n, make([]int64, i-b.lo-len(b.n)+1)...)
+	}
+	b.n[i-b.lo] += k
+}
+
+// clone returns a copy that shares no storage with b.
+func (b bucketCounts) clone() bucketCounts {
+	return bucketCounts{lo: b.lo, n: append([]int64(nil), b.n...)}
+}
+
+// nonEmpty returns the midpoints of the lowest and highest non-empty
+// buckets (0, 0 when every bucket is empty).
+func (b bucketCounts) nonEmpty() (min, max int64) {
+	first, last := -1, -1
+	for k, c := range b.n {
+		if c > 0 {
+			if first < 0 {
+				first = k
+			}
+			last = k
+		}
+	}
+	if first < 0 {
+		return 0, 0
+	}
+	return bucketMid(b.lo + first), bucketMid(b.lo + last)
 }
 
 // Observe records one duration.
@@ -175,7 +223,7 @@ func (h *Histogram) Observe(d time.Duration) {
 		ns = 0
 	}
 	h.mu.Lock()
-	h.buckets[bucketIndex(ns)]++
+	h.counts.add(bucketIndex(ns), 1)
 	if h.count == 0 || ns < h.min {
 		h.min = ns
 	}
@@ -208,10 +256,10 @@ func (h *Histogram) quantileLocked(q float64) int64 {
 		rank = 1
 	}
 	cum := int64(0)
-	for i, c := range h.buckets {
+	for k, c := range h.counts.n {
 		cum += c
 		if cum >= rank {
-			v := bucketMid(i)
+			v := bucketMid(h.counts.lo + k)
 			if v < h.min {
 				v = h.min
 			}
@@ -237,6 +285,6 @@ func (h *Histogram) stats() DurStats {
 		P95NS: h.quantileLocked(0.95),
 		P99NS: h.quantileLocked(0.99),
 	}
-	s.buckets = h.buckets
+	s.buckets = h.counts.clone()
 	return s
 }

@@ -16,7 +16,7 @@ type DurStats struct {
 
 	// buckets carries the raw histogram for Delta arithmetic; it is
 	// process-internal and deliberately not serialized.
-	buckets [histBuckets]int64
+	buckets bucketCounts
 }
 
 // MeanNS returns the mean duration in nanoseconds.
@@ -122,35 +122,20 @@ func Delta(prev, cur *Snapshot) *Snapshot {
 			continue
 		}
 		var h Histogram
-		for i := range c.buckets {
-			h.buckets[i] = c.buckets[i] - p.buckets[i]
+		for k, n := range c.buckets.n {
+			h.counts.add(c.buckets.lo+k, n)
+		}
+		for k, n := range p.buckets.n {
+			h.counts.add(p.buckets.lo+k, -n)
 		}
 		h.count = c.Count - p.Count
 		h.sum = c.SumNS - p.SumNS
 		// Extrema of the delta population are unknowable from aggregates;
 		// bound them by the bucket range of the delta counts.
-		h.min, h.max = bucketRange(&h.buckets)
+		h.min, h.max = h.counts.nonEmpty()
 		out.Durations[name] = h.stats()
 	}
 	return out
-}
-
-// bucketRange returns the midpoints of the lowest and highest non-empty
-// buckets.
-func bucketRange(b *[histBuckets]int64) (min, max int64) {
-	lo, hi := -1, -1
-	for i, c := range b {
-		if c > 0 {
-			if lo < 0 {
-				lo = i
-			}
-			hi = i
-		}
-	}
-	if lo < 0 {
-		return 0, 0
-	}
-	return bucketMid(lo), bucketMid(hi)
 }
 
 // DurationNames returns the duration keys sorted by total time descending

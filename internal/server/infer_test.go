@@ -154,3 +154,62 @@ func TestInferJobEndToEnd(t *testing.T) {
 		t.Fatalf("stream does not terminate with summary then done (summary@%d done@%d of %d)", summaryAt, doneAt, len(lines))
 	}
 }
+
+// TestConcurrentInferJobsShareOneTraining runs same-spec inference jobs
+// on the production runner with two workers: they run at the same time
+// on copies of one shared suite, the served model is trained once (one
+// run.start across every job), and every job reports the same accuracy.
+func TestConcurrentInferJobsShareOneTraining(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains a real cell; skipped under -short")
+	}
+	s, err := New(Config{Workers: 2}) // nil Run selects the suite runner
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck // best-effort teardown
+	}()
+	const n = 4
+	var ids []string
+	for i := 0; i < n; i++ {
+		code, reply := submit(t, ts, `{"framework":"caffe","dataset":"mnist","scale":"test","mode":"infer","batch":1,"requests":4}`, "")
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d (%+v)", i, code, reply)
+		}
+		ids = append(ids, reply.ID)
+	}
+	var acc []float64
+	runStarts, coRan := 0, false
+	for _, id := range ids {
+		j := waitState(t, s, id, StateCompleted)
+		v := j.View()
+		acc = append(acc, v.Result.AccuracyPct)
+		coRan = coRan || v.CoRunning > 0
+		for _, ev := range j.tracer.Events() {
+			switch ev.Type {
+			case "run.start":
+				runStarts++
+			case "infer.summary":
+				if _, ok := ev.Fields["co_running"]; !ok {
+					t.Errorf("job %s: infer.summary without co_running: %v", id, ev.Fields)
+				}
+			}
+		}
+	}
+	for i, a := range acc {
+		if a != acc[0] {
+			t.Fatalf("job %s accuracy %v, job %s %v", ids[i], a, ids[0], acc[0])
+		}
+	}
+	if runStarts != 1 {
+		t.Fatalf("%d run.start events across %d jobs, want the model trained once", runStarts, n)
+	}
+	if !coRan {
+		t.Fatal("no job reports a co-running job: the two workers never overlapped")
+	}
+}

@@ -221,13 +221,6 @@ func (js *JobSpec) InferConfig() (core.InferConfig, error) {
 	return cfg, nil
 }
 
-// shardKey groups jobs that can share a warm suite (datasets, trained
-// models): the worker pool routes all jobs of one (scale, seed) to one
-// shard, so cache affinity survives concurrency.
-func (js *JobSpec) shardKey() string {
-	return fmt.Sprintf("%s/%d", js.Scale, js.Seed)
-}
-
 // Job is one accepted job's full record: the spec, its lifecycle, and —
 // once it ran — the result or error. All mutable fields are guarded by
 // mu; View snapshots them for JSON rendering.
@@ -260,6 +253,10 @@ type Job struct {
 	queueStart    time.Time
 	queueNS       int64
 	execNS        int64
+	// coRunning counts the jobs that ran beside this one (see
+	// Server.coRunning), as of its latest attempt's end. coBase and coSeq
+	// are what that count starts from; only the job's worker touches them.
+	coRunning, coBase, coSeq int64
 }
 
 // newJob constructs a queued job recording onto tr — its scoped tracer
@@ -315,10 +312,12 @@ func (j *Job) endQueueWait() (time.Duration, bool) {
 	return d, true
 }
 
-// addExec accumulates one attempt's execution time.
-func (j *Job) addExec(d time.Duration) {
+// addExec accumulates one attempt's execution time and records the
+// co-running count at its end.
+func (j *Job) addExec(d time.Duration, coRunning int64) {
 	j.mu.Lock()
 	j.execNS += d.Nanoseconds()
+	j.coRunning = coRunning
 	j.mu.Unlock()
 }
 
@@ -400,6 +399,11 @@ type JobView struct {
 	// server-attributed latency breakdown.
 	ExecSeconds float64 `json:"exec_seconds,omitempty"`
 	E2ESeconds  float64 `json:"e2e_seconds,omitempty"`
+	// CoRunning counts the other jobs that ran while this one did: those
+	// in flight when it began, plus those that began before its latest
+	// attempt ended. Workers share one process and its kernel thread
+	// pool, so a measurement with CoRunning 0 was taken in isolation.
+	CoRunning int64 `json:"co_running"`
 	// Result is the completed run's row (accuracy, wall/model times,
 	// convergence), absent until completion.
 	Result *metrics.RunResult `json:"result,omitempty"`
@@ -419,6 +423,7 @@ func (j *Job) View() JobView {
 		Error:       j.err,
 		Result:      j.result,
 		ExecSeconds: float64(j.execNS) / 1e9,
+		CoRunning:   j.coRunning,
 	}
 	if j.queueNS > 0 {
 		// Measured queue residency (the job.queue_wait span), exact even

@@ -5,13 +5,14 @@
 // this package supplies the robustness layer such a service needs when
 // many clients submit many (framework, dataset, workload) jobs:
 //
-//   - Admission control: a bounded, sharded job queue. A full shard
+//   - Admission control: one bounded FIFO job queue that every idle
+//     worker pops, so no worker idles while a job waits. A full queue
 //     rejects with 429 + Retry-After instead of queueing unboundedly;
 //     per-client token buckets stop any one client from starving the
 //     rest; and a monitor-driven watermark sheds new work with 503 when
 //     heap or CPU pressure says the daemon should degrade rather than
 //     OOM.
-//   - Fault isolation: each job runs on a sharded worker pool with a
+//   - Fault isolation: each job runs on the worker pool with a
 //     per-job deadline, panic containment and jittered-backoff retries
 //     (reusing internal/resilience), so a diverging, crashing or
 //     panicking job fails alone while the daemon keeps serving.
@@ -85,9 +86,10 @@ const (
 // Config parameterizes New. The zero value is usable for tests: 2
 // workers, a small queue, no rate limit, no shedding, no journal.
 type Config struct {
-	// Workers is the worker (and queue shard) count; default 2.
+	// Workers is the worker count; default 2.
 	Workers int
-	// QueueCap is the per-shard queue capacity; default 16.
+	// QueueCap bounds the jobs waiting in the queue; default 16 per
+	// worker.
 	QueueCap int
 	// RatePerSec and Burst parameterize the per-client token bucket;
 	// RatePerSec <= 0 disables rate limiting.
@@ -138,7 +140,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = 2
 	}
 	if c.QueueCap <= 0 {
-		c.QueueCap = 16
+		c.QueueCap = 16 * c.Workers
 	}
 	if c.Burst <= 0 {
 		c.Burst = 8
@@ -186,6 +188,7 @@ type Server struct {
 
 	wg       sync.WaitGroup
 	inflight atomic.Int64
+	started  atomic.Int64 // jobs that ever began running
 	seq      atomic.Int64
 
 	// ewmaJobNS tracks a smoothed job duration for Retry-After hints.
@@ -218,7 +221,7 @@ func New(cfg Config) (*Server, error) {
 	hardCtx, hardStop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
-		q:        newQueue(cfg.Workers, cfg.QueueCap),
+		q:        newQueue(cfg.QueueCap),
 		lim:      newLimiter(cfg.RatePerSec, cfg.Burst),
 		tracer:   tr,
 		reg:      reg,
@@ -249,8 +252,7 @@ func New(cfg Config) (*Server, error) {
 
 	s.run = cfg.Run
 	if s.run == nil {
-		runner := newSuiteRunner(s, cfg.Workers)
-		s.run = runner.run
+		s.run = (&suiteRunner{server: s}).run
 	}
 
 	var recovered []pendingJob
@@ -367,8 +369,8 @@ type StatusView struct {
 	Draining bool  `json:"draining"`
 	Workers  int   `json:"workers"`
 	Inflight int64 `json:"inflight"`
-	// QueueDepths is per shard (index = shard = worker).
-	QueueDepths []int `json:"queue_depths"`
+	// QueueDepth is the number of jobs waiting for a worker.
+	QueueDepth int `json:"queue_depth"`
 	// ActiveJobs lists every non-terminal job with its current lifecycle
 	// span — what each worker (and the queue) is doing right now.
 	ActiveJobs []ActiveJob `json:"active_jobs,omitempty"`
@@ -388,10 +390,10 @@ type ActiveJob struct {
 // Status snapshots the daemon for live introspection.
 func (s *Server) Status() StatusView {
 	sv := StatusView{
-		Draining:    s.Draining(),
-		Workers:     s.cfg.Workers,
-		Inflight:    s.inflight.Load(),
-		QueueDepths: s.q.depths(),
+		Draining:   s.Draining(),
+		Workers:    s.cfg.Workers,
+		Inflight:   s.inflight.Load(),
+		QueueDepth: s.q.depth(),
 	}
 	s.jobsMu.Lock()
 	jobs := make([]*Job, 0, len(s.jobIDs))

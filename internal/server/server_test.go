@@ -152,7 +152,7 @@ func TestUnknownJob404(t *testing.T) {
 	}
 }
 
-// TestQueueFullRejectsWith429 fills the single shard past capacity while
+// TestQueueFullRejectsWith429 fills the queue past capacity while
 // the one worker is blocked, and checks the overflow submission is
 // rejected with 429 + Retry-After rather than queued or blocked.
 func TestQueueFullRejectsWith429(t *testing.T) {
@@ -169,8 +169,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 	defer close(release)
 
 	// First job occupies the worker. Wait for it to leave the queue, then
-	// fill the queue exactly to capacity — every job shares one (scale,
-	// seed), so they all land on the single shard.
+	// fill the queue exactly to capacity.
 	code, first := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: status %d, want 202", code)
@@ -226,11 +225,11 @@ func TestRateLimitPerClient(t *testing.T) {
 // whose run dies with an injected crash fails alone; the daemon accepts
 // and completes the next job.
 func TestCrashFaultFailsOnlyThatJob(t *testing.T) {
-	crashRun := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	crashRun := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		if j.Spec.Faults != "" {
 			return nil, fmt.Errorf("%w: at iteration 1", resilience.ErrInjectedCrash)
 		}
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{Run: crashRun})
 	_, crash := submit(t, ts, `{"framework":"tf","dataset":"mnist","faults":"crash@1"}`, "")
@@ -246,12 +245,12 @@ func TestCrashFaultFailsOnlyThatJob(t *testing.T) {
 // ErrPanic-wrapped error after the retry budget, and the worker survives.
 func TestPanicContainment(t *testing.T) {
 	var calls atomic.Int64
-	panicRun := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	panicRun := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		if j.Spec.Framework == "torch" {
 			calls.Add(1)
 			panic("executor blew up")
 		}
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, JobRetries: 1, RetryBase: time.Millisecond, Run: panicRun})
 	_, bad := submit(t, ts, `{"framework":"torch","dataset":"mnist"}`, "")
@@ -275,11 +274,11 @@ func TestPanicContainment(t *testing.T) {
 // success — the job completes on attempt 2.
 func TestTransientFailureRetriesWithBackoff(t *testing.T) {
 	var calls atomic.Int64
-	flaky := func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
+	flaky := func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error) {
 		if calls.Add(1) == 1 {
 			return nil, fmt.Errorf("%w: op error", resilience.ErrInjected)
 		}
-		return okRun(ctx, shard, j)
+		return okRun(ctx, worker, j)
 	}
 	s, ts := newTestServer(t, Config{JobRetries: 2, RetryBase: time.Millisecond, Run: flaky})
 	_, reply := submit(t, ts, `{"framework":"tf","dataset":"mnist"}`, "")
@@ -480,5 +479,55 @@ func TestSubmitReplyShape(t *testing.T) {
 	}
 	if m["status"] != "queued" || m["id"] == "" {
 		t.Fatalf("submit reply = %s", buf.String())
+	}
+}
+
+// TestSameSpecJobsUseEveryWorker is the work-conserving contract: two
+// jobs of one spec run at once on two workers, and a submission is
+// refused with queue_full only once the single queue holds its capacity.
+func TestSameSpecJobsUseEveryWorker(t *testing.T) {
+	var running atomic.Int32
+	release := make(chan struct{})
+	blockRun := func(ctx context.Context, _ int, _ *Job) (*metrics.RunResult, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		select {
+		case <-release:
+			return &metrics.RunResult{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 1, Run: blockRun})
+	defer close(release)
+
+	spec := `{"framework":"tf","dataset":"mnist"}`
+	var ids []string
+	for i := 0; i < 2; i++ {
+		code, reply := submit(t, ts, spec, "")
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d %q while a worker is idle", i, code, reply.Status)
+		}
+		ids = append(ids, reply.ID)
+	}
+	for _, id := range ids {
+		waitState(t, s, id, StateRunning)
+	}
+	if n := running.Load(); n != 2 {
+		t.Fatalf("%d jobs executing, want both workers busy", n)
+	}
+	// Both workers are busy: the third job waits in the queue, and only
+	// the fourth, with the queue at capacity, is refused.
+	if code, reply := submit(t, ts, spec, ""); code != http.StatusAccepted {
+		t.Fatalf("third submit: status %d %q with the queue empty", code, reply.Status)
+	}
+	if code, reply := submit(t, ts, spec, ""); code != http.StatusTooManyRequests || reply.Status != "queue_full" {
+		t.Fatalf("fourth submit: %d %q, want 429 queue_full", code, reply.Status)
+	}
+	if got := s.cQueueFull.Value(); got != 1 {
+		t.Fatalf("queue_full counter = %d, want 1", got)
+	}
+	if v := s.Status(); v.QueueDepth != 1 || v.Inflight != 2 {
+		t.Fatalf("status queue depth %d inflight %d, want 1 and 2", v.QueueDepth, v.Inflight)
 	}
 }

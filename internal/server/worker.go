@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -13,39 +14,24 @@ import (
 	"repro/internal/resilience"
 )
 
-// RunFunc executes one job attempt and returns its result. The production
-// implementation trains the job's cell over the existing executors; tests
-// substitute stubs to exercise the robustness machinery without training.
-type RunFunc func(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error)
+// RunFunc executes one job attempt on the given worker and returns its
+// result. The production implementation trains the job's cell over the
+// existing executors; tests substitute stubs to exercise the robustness
+// machinery without training.
+type RunFunc func(ctx context.Context, worker int, j *Job) (*metrics.RunResult, error)
 
-// worker is one shard's service loop: it drains its shard FIFO, sleeping
-// on the shard's wake channel when empty, and exits when drain starts
-// (after finishing the job in hand — that is the graceful half of the
-// drain contract).
-func (s *Server) worker(shard int) {
+// worker is one service loop: it runs the oldest queued job whenever it
+// is idle, and exits when drain starts (after finishing the job in hand —
+// that is the graceful half of the drain contract).
+func (s *Server) worker(id int) {
 	defer s.wg.Done()
-	for {
-		select {
-		case <-s.draining:
-			return
-		default:
-		}
-		j := s.q.pop(shard)
+	for !s.Draining() {
+		j := s.q.next()
 		if j == nil {
-			select {
-			case <-s.draining:
-				return
-			case <-s.q.wake[shard]:
-				continue
-			}
+			return
 		}
 		s.gQueueDepth.Set(float64(s.q.depth()))
-		s.runJob(shard, j)
-		select {
-		case <-s.draining:
-			return
-		default:
-		}
+		s.runJob(id, j)
 	}
 }
 
@@ -54,8 +40,8 @@ func (s *Server) worker(shard int) {
 // understands as transient, and journaled terminal transitions. A job
 // interrupted by the hard-stop deadline is left non-terminal so the
 // journal recovers it on the next start.
-func (s *Server) runJob(shard int, j *Job) {
-	s.inflight.Add(1)
+func (s *Server) runJob(worker int, j *Job) {
+	j.coBase, j.coSeq = s.inflight.Add(1)-1, s.started.Add(1)
 	s.setOccupancy()
 	defer func() {
 		s.inflight.Add(-1)
@@ -79,17 +65,18 @@ func (s *Server) runJob(shard int, j *Job) {
 
 	for {
 		j.start()
+		// "shard" names the worker index; event readers key on it.
 		j.tracer.Emit("job.start", map[string]any{
-			"id": j.ID, "attempt": j.attempt(), "shard": shard, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
+			"id": j.ID, "attempt": j.attempt(), "shard": worker, "cell": j.Spec.Framework + "/" + j.Spec.Dataset,
 		})
 		start := time.Now()
 		exec := j.tracer.Span(SpanExec, "server")
 		ctx, cancel := context.WithTimeout(s.hardCtx, timeout)
-		res, err := s.runAttempt(ctx, shard, j)
+		res, err := s.runAttempt(ctx, worker, j)
 		cancel()
 		exec.End()
 		attemptDur := time.Since(start)
-		j.addExec(attemptDur)
+		j.addExec(attemptDur, s.coRunning(j))
 		s.hExec.Observe(attemptDur)
 		if err == nil {
 			s.observeJobSeconds(attemptDur.Seconds())
@@ -143,6 +130,12 @@ func (s *Server) reportJob(j *Job, res *metrics.RunResult, err error, st State) 
 	}
 }
 
+// coRunning is how many other jobs ran at the same time as j so far: the
+// jobs in flight when j began, plus every job that began since.
+func (s *Server) coRunning(j *Job) int64 {
+	return j.coBase + s.started.Load() - j.coSeq
+}
+
 // setOccupancy publishes in-flight jobs as a fraction of the worker pool.
 func (s *Server) setOccupancy() {
 	n := float64(s.inflight.Load())
@@ -153,8 +146,8 @@ func (s *Server) setOccupancy() {
 // runAttempt executes one attempt under panic containment: a panic
 // anywhere in the run path (suite construction, data synthesis, executor
 // dispatch beyond the engine's own recovery) fails this job alone and the
-// shard keeps serving.
-func (s *Server) runAttempt(ctx context.Context, shard int, j *Job) (res *metrics.RunResult, err error) {
+// worker keeps serving.
+func (s *Server) runAttempt(ctx context.Context, worker int, j *Job) (res *metrics.RunResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			buf := make([]byte, 4096)
@@ -164,10 +157,10 @@ func (s *Server) runAttempt(ctx context.Context, shard int, j *Job) (res *metric
 			err = fmt.Errorf("%w: job runner: %v", engine.ErrPanic, r)
 		}
 	}()
-	return s.run(ctx, shard, j)
+	return s.run(ctx, worker, j)
 }
 
-// retryable classifies failures worth a fresh attempt on a clean suite:
+// retryable classifies failures worth a fresh attempt:
 // transient injected faults, divergence, contained panics, and exhausted
 // in-process retry budgets (a new attempt restarts that budget). Crashes
 // (simulated process kills), cancellation/deadline and configuration
@@ -185,96 +178,94 @@ func (s *Server) retryable(err error) bool {
 		errors.Is(err, engine.ErrPanic)
 }
 
-// suiteRunner is the production RunFunc: it trains the job's cell on a
-// per-shard suite cache so jobs sharing (scale, seed) reuse datasets and
-// trained models, while a failure or memory pressure evicts the cache —
-// fault isolation beats cache warmth.
+// suiteRunner is the production RunFunc. It keeps one core.Suite per
+// (scale, seed), shared by every worker, and runs each job on a copy of
+// it that carries the job's tracer, fault plan and resilience policy, so
+// nothing is ever set on the shared value.
 type suiteRunner struct {
-	shards []map[string]*core.Suite
 	server *Server
+	mu     sync.Mutex
+	suites map[string]*core.Suite // by "scale/seed"
 }
 
-// maxSuitesPerShard bounds each shard's suite cache; beyond it the whole
-// cache is dropped (suites pin datasets and trained models, and a shard
-// hammered with distinct seeds must not accumulate them).
-const maxSuitesPerShard = 4
+// maxSuites bounds the suite cache; beyond it the whole cache is dropped
+// (suites pin datasets and trained models, and a daemon hammered with
+// distinct seeds must not accumulate them).
+const maxSuites = 4
 
-func newSuiteRunner(s *Server, shards int) *suiteRunner {
-	r := &suiteRunner{shards: make([]map[string]*core.Suite, shards), server: s}
-	for i := range r.shards {
-		r.shards[i] = make(map[string]*core.Suite)
+// suite returns the shared suite for the job's (scale, seed), building
+// it on first use.
+func (r *suiteRunner) suite(js JobSpec) (*core.Suite, error) {
+	key := fmt.Sprintf("%s/%d", js.Scale, js.Seed)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if suite := r.suites[key]; suite != nil {
+		return suite, nil
 	}
-	return r
+	scale, err := core.ScaleByName(js.Scale)
+	if err != nil {
+		return nil, err
+	}
+	suite, err := core.NewSuite(scale, js.Seed)
+	if err != nil {
+		return nil, err
+	}
+	if r.suites == nil || len(r.suites) >= maxSuites {
+		r.suites = make(map[string]*core.Suite)
+	}
+	r.suites[key] = suite
+	return suite, nil
 }
 
-// run executes one attempt. Only the owning shard's worker touches
-// r.shards[shard], so the cache needs no lock.
-func (r *suiteRunner) run(ctx context.Context, shard int, j *Job) (*metrics.RunResult, error) {
-	key := j.Spec.shardKey()
-	suite := r.shards[shard][key]
-	if suite == nil {
-		scale, err := core.ScaleByName(j.Spec.Scale)
-		if err != nil {
-			return nil, err
-		}
-		if suite, err = core.NewSuite(scale, j.Spec.Seed); err != nil {
-			return nil, err
-		}
-		if len(r.shards[shard]) >= maxSuitesPerShard {
-			r.shards[shard] = make(map[string]*core.Suite)
-		}
-		r.shards[shard][key] = suite
+// run executes one attempt on a copy of the job's shared suite.
+func (r *suiteRunner) run(ctx context.Context, _ int, j *Job) (*metrics.RunResult, error) {
+	shared, err := r.suite(j.Spec)
+	if err != nil {
+		return nil, err
+	}
+	suite := *shared
+	suite.Obs = j.tracer
+	suite.Progress = func(format string, args ...any) {
+		j.tracer.Emit("job.progress", map[string]any{"id": j.ID, "line": fmt.Sprintf(format, args...)})
 	}
 	var row *metrics.RunResult
-	var err error
 	if j.Spec.Mode == "infer" {
-		row, err = r.runInfer(ctx, suite, j)
+		row, err = r.runInfer(ctx, &suite, j)
 	} else {
-		row, err = r.runTrain(ctx, suite, j)
+		row, err = r.runTrain(ctx, &suite, j)
 	}
 	if err != nil {
-		// The failed run may have left the cached suite mid-state (a
-		// contained panic especially); drop it so the next attempt starts
-		// clean. Fault isolation at the cost of one cold cache.
-		delete(r.shards[shard], key)
 		return nil, err
 	}
 	if r.server.underMemoryPressure() {
 		// Degrade before the monitor watermark starts shedding: dropping
-		// dormant models trades warm-cache latency for headroom.
-		suite.ReleaseModels()
-		r.shards[shard] = map[string]*core.Suite{}
+		// the cached suites trades warm-cache latency for headroom. Jobs
+		// still running keep their copies until they finish.
+		r.mu.Lock()
+		r.suites = nil
+		r.mu.Unlock()
 		runtime.GC()
 		r.server.cCacheDrops.Inc()
 	}
 	return row, nil
 }
 
-// runTrain executes one training attempt on the shard's suite.
+// runTrain executes one training attempt. Each job measures fresh:
+// RunFresh retrains the cell instead of returning a cached model (a cache
+// hit would return stale metrics and skip the job's fault plan), while
+// the datasets stay warm.
 func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (*metrics.RunResult, error) {
 	spec, err := j.Spec.RunSpec()
 	if err != nil {
 		return nil, err
 	}
-	// Each job measures fresh: drop the cell's memoized model so training
-	// re-executes (a cache hit would return stale metrics and skip the
-	// job's fault plan entirely). Datasets and suite state stay warm.
-	suite.ReleaseModel(spec)
-	// Per-job wiring: the job's own tracer observes this run (streamed on
-	// /jobs/{id}/events), the job's fault plan arms the harness, and the
-	// in-process resilience budget comes from the spec.
 	maxRetries := 2
 	if j.Spec.MaxRetries != nil {
 		maxRetries = *j.Spec.MaxRetries
 	}
-	suite.Obs = j.tracer
 	suite.Resilience = resilience.Policy{MaxRetries: maxRetries}
 	suite.Faults, _ = resilience.ParsePlan(j.Spec.Faults) // validated at admission
-	suite.Progress = func(format string, args ...any) {
-		j.tracer.Emit("job.progress", map[string]any{"id": j.ID, "line": fmt.Sprintf(format, args...)})
-	}
-	row, err := suite.RunContext(ctx, spec)
-	suite.Obs, suite.Faults, suite.Progress = nil, nil, nil
+	row, err := suite.RunFresh(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -282,22 +273,17 @@ func (r *suiteRunner) runTrain(ctx context.Context, suite *core.Suite, j *Job) (
 }
 
 // runInfer executes one inference attempt: a single-column, single-batch
-// sweep on the shard's suite. Unlike training jobs, the memoized model is
-// NOT released first — cache warmth is the point of a serving measurement,
-// so repeated inference jobs against one shard pay training once and then
-// measure pure serving latency. The event stream terminates with an
-// "infer.summary" event carrying the latency distribution.
+// sweep. Unlike training jobs, it serves the suite's cached model — cache
+// warmth is the point of a serving measurement, so repeated inference
+// jobs of one (scale, seed) pay training once and then measure pure
+// serving latency. The event stream terminates with an "infer.summary"
+// event carrying the latency distribution and how many jobs co-ran.
 func (r *suiteRunner) runInfer(ctx context.Context, suite *core.Suite, j *Job) (*metrics.RunResult, error) {
 	cfg, err := j.Spec.InferConfig()
 	if err != nil {
 		return nil, err
 	}
-	suite.Obs = j.tracer
-	suite.Progress = func(format string, args ...any) {
-		j.tracer.Emit("job.progress", map[string]any{"id": j.ID, "line": fmt.Sprintf(format, args...)})
-	}
 	rep, err := suite.InferSweep(ctx, cfg)
-	suite.Obs, suite.Progress = nil, nil
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +300,7 @@ func (r *suiteRunner) runInfer(ctx context.Context, suite *core.Suite, j *Job) (
 		"dataset": cell.Dataset, "batch": cell.Batch, "requests": cell.Requests,
 		"latency_p50_ms": cell.LatencyP50MS, "latency_p95_ms": cell.LatencyP95MS,
 		"latency_p99_ms": cell.LatencyP99MS, "throughput_sps": cell.ThroughputSPS,
-		"accuracy_pct": cell.AccuracyPct,
+		"accuracy_pct": cell.AccuracyPct, "co_running": r.server.coRunning(j),
 	})
 	// Shape the serving measurement into the job-result row: Test carries
 	// the timed serving wall clock, Settings names the served model plan.
